@@ -287,20 +287,38 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 
 
 def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
-    """Attach the evaluation-tier flag shared by the simulation commands.
+    """Attach ``sweep``'s evaluation-tier flag.
 
-    The default comes from the ``REPRO_BACKEND`` environment variable
-    (unset means the command's legacy tier); an explicit flag wins.
-    Every tier is bit-identical -- the choice only affects speed.
+    Every tier is bit-identical -- the choice only affects speed.  When
+    the flag is absent, :func:`main` reads the default from
+    ``$REPRO_BACKEND``; an invalid value there is a usage error of this
+    command, reported through ``parser``.
     """
-    from repro.kernels import BACKENDS, backend_from_env
+    from repro.kernels import BACKENDS
 
     parser.add_argument(
-        "--backend", choices=BACKENDS, default=backend_from_env(),
-        help="evaluation tier: scalar, batched (NumPy), compiled "
-             "(native kernel; falls back with a warning if unavailable), "
-             "or auto (fastest available); default honours $REPRO_BACKEND",
+        "--backend", choices=BACKENDS, default=None,
+        help="evaluation tier: scalar, batched (NumPy; the default), "
+             "compiled (native kernel; falls back with a warning if "
+             "unavailable), or auto (fastest available); default "
+             "honours $REPRO_BACKEND",
     )
+    parser.set_defaults(backend_usage_error=parser.error)
+
+
+def _backend_from_env(args: argparse.Namespace) -> None:
+    """Fill an absent ``--backend`` from ``$REPRO_BACKEND``."""
+    import os
+
+    from repro.kernels import BACKEND_ENV, BACKENDS
+
+    value = os.environ.get(BACKEND_ENV) or None
+    if value not in (None, *BACKENDS):
+        args.backend_usage_error(
+            f"${BACKEND_ENV}={value!r} is not a backend "
+            f"(choose from {', '.join(BACKENDS)})"
+        )
+    args.backend = value
 
 
 def _add_grid_engine_arg(parser: argparse.ArgumentParser) -> None:
@@ -477,7 +495,6 @@ def _grid_run(args: argparse.Namespace) -> int:
         kill_schedule=kill_schedule,
         adaptive_routing=args.adaptive,
         seed=args.seed,
-        backend=args.backend,
         grid_engine=args.grid_engine,
     )
     image = bitmaps.gradient(args.image_size, args.image_size)
@@ -584,7 +601,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             cols=args.cols,
             n_instructions=args.instructions,
             seed=args.seed,
-            backend=args.backend,
             grid_engine=args.grid_engine,
         )
     else:
@@ -600,7 +616,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             cols=args.cols,
             n_instructions=args.instructions,
             seed=args.seed,
-            backend=args.backend,
             grid_engine=args.grid_engine,
         )
         _emit_resilience_note(outcome)
@@ -658,7 +673,6 @@ def _cmd_lifecycle(args: argparse.Namespace) -> int:
             rows=args.rows,
             cols=args.cols,
             seed=args.seed,
-            backend=args.backend,
             grid_engine=args.grid_engine,
         )
     else:
@@ -673,7 +687,6 @@ def _cmd_lifecycle(args: argparse.Namespace) -> int:
             rows=args.rows,
             cols=args.cols,
             seed=args.seed,
-            backend=args.backend,
             grid_engine=args.grid_engine,
         )
         _emit_resilience_note(outcome)
@@ -962,7 +975,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="render the final fabric state")
     _add_observability_args(grid)
     _add_resilience_args(grid)
-    _add_backend_arg(grid)
     _add_grid_engine_arg(grid)
     grid.set_defaults(fn=_cmd_grid)
 
@@ -1003,7 +1015,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seed", type=int, default=2004)
     _add_observability_args(chaos)
     _add_resilience_args(chaos)
-    _add_backend_arg(chaos)
     _add_grid_engine_arg(chaos)
     chaos.set_defaults(fn=_cmd_chaos)
 
@@ -1118,7 +1129,6 @@ def build_parser() -> argparse.ArgumentParser:
     lifecycle.add_argument("--seed", type=int, default=2004)
     _add_observability_args(lifecycle)
     _add_resilience_args(lifecycle)
-    _add_backend_arg(lifecycle)
     _add_grid_engine_arg(lifecycle)
     lifecycle.set_defaults(fn=_cmd_lifecycle)
 
@@ -1206,6 +1216,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     run_argv = list(argv) if argv is not None else list(sys.argv[1:])
     args = parser.parse_args(run_argv)
     args.run_argv = run_argv
+    if getattr(args, "backend", "") is None:
+        _backend_from_env(args)
     if hasattr(args, "obs_report"):
         return _run_with_observability(args)
     return args.fn(args)

@@ -12,7 +12,7 @@ value (and its rate-0 overhead) is measured rather than asserted.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.alu.reference import reference_compute
 from repro.grid.control import JobInstruction
@@ -99,7 +99,6 @@ def run_chaos_point(
     error_threshold: int = 8,
     adaptive_routing: bool = False,
     seed: int = 2004,
-    backend: Optional[str] = None,
     grid_engine: str = "dense",
 ) -> ChaosPoint:
     """Run one job through a fabric with the given link fault rates.
@@ -122,7 +121,6 @@ def run_chaos_point(
         link_fault_config=config if config.any_faults else None,
         crc_enabled=protected,
         seed=seed,
-        backend=backend,
         grid_engine=grid_engine,
     )
     instructions = chaos_workload(n_instructions)
@@ -164,7 +162,6 @@ def chaos_sweep(
     cols: int = 3,
     n_instructions: int = 48,
     seed: int = 2004,
-    backend: Optional[str] = None,
     grid_engine: str = "dense",
 ) -> List[ChaosPoint]:
     """Sweep link fault rates x retry budgets, protected and bare."""
@@ -183,7 +180,6 @@ def chaos_sweep(
                         cols=cols,
                         n_instructions=n_instructions,
                         seed=seed,
-                        backend=backend,
                         grid_engine=grid_engine,
                     )
                 )
@@ -215,7 +211,6 @@ def chaos_sweep_resilient(
     cols: int = 3,
     n_instructions: int = 48,
     seed: int = 2004,
-    backend: Optional[str] = None,
     grid_engine: str = "dense",
 ):
     """:func:`chaos_sweep` under the crash-safe campaign runtime.
@@ -258,7 +253,6 @@ def chaos_sweep_resilient(
                 cols=cols,
                 n_instructions=n_instructions,
                 seed=seed,
-                backend=backend,
                 grid_engine=grid_engine,
             )
             for task in chunk

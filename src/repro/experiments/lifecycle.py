@@ -135,7 +135,6 @@ def run_lifecycle_point(
     error_threshold: int = 8,
     max_rounds: int = 3,
     seed: int = 2004,
-    backend: Optional[str] = None,
     grid_engine: str = "dense",
 ) -> LifecyclePoint:
     """Run a job series through one fabric under one policy; measure it.
@@ -164,7 +163,6 @@ def run_lifecycle_point(
         temporal_fault_process=process,
         n_words=n_words,
         seed=seed,
-        backend=backend,
         grid_engine=grid_engine,
     )
     total_cells = rows * cols
@@ -255,7 +253,6 @@ def lifecycle_sweep(
     error_threshold: int = 8,
     max_rounds: int = 3,
     seed: int = 2004,
-    backend: Optional[str] = None,
     grid_engine: str = "dense",
 ) -> List[LifecyclePoint]:
     """Sweep fault processes x lifecycle policies."""
@@ -278,7 +275,6 @@ def lifecycle_sweep(
                     error_threshold=error_threshold,
                     max_rounds=max_rounds,
                     seed=seed,
-                    backend=backend,
                     grid_engine=grid_engine,
                 )
             )
@@ -312,7 +308,6 @@ def lifecycle_sweep_resilient(
     error_threshold: int = 8,
     max_rounds: int = 3,
     seed: int = 2004,
-    backend: Optional[str] = None,
     grid_engine: str = "dense",
 ):
     """:func:`lifecycle_sweep` under the crash-safe campaign runtime.
@@ -370,7 +365,6 @@ def lifecycle_sweep_resilient(
                 error_threshold=error_threshold,
                 max_rounds=max_rounds,
                 seed=seed,
-                backend=backend,
                 grid_engine=grid_engine,
             )
             for process_index, policy_index in chunk

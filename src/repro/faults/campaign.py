@@ -153,21 +153,20 @@ class FaultCampaign:
             built["compiled"] = self._compiled_engine
         return built
 
-    def resolve_backend(
-        self, backend: Optional[str] = None, batched: Optional[bool] = None
-    ) -> str:
+    def resolve_backend(self, backend: Optional[str] = None) -> str:
         """The effective tier for this unit: scalar, batched, or compiled.
 
-        ``auto`` selects compiled exactly when this unit has a live
-        compiled engine, silently falling back to batched otherwise.  An
-        explicit ``compiled`` request without an engine degrades to
-        batched with a one-time stderr warning -- unless the *unit* is
-        the unsupported part while a provider is live, which mirrors the
-        batched tier's silent scalar fallback for unvectorizable units.
+        ``None`` selects scalar, this class's default.  ``auto`` selects
+        compiled exactly when this unit has a live compiled engine,
+        silently falling back to batched otherwise.  An explicit
+        ``compiled`` request without an engine degrades to batched with a
+        one-time stderr warning -- unless the *unit* is the unsupported
+        part while a provider is live, which mirrors the batched tier's
+        silent scalar fallback for unvectorizable units.
         """
         from repro.kernels import resolve_backend as _resolve
 
-        requested = _resolve(backend, batched)
+        requested = _resolve(backend)
         if requested == "auto":
             effective = "compiled" if self._compiled() is not None else "batched"
         elif requested == "compiled" and self._compiled() is None:
@@ -175,7 +174,7 @@ class FaultCampaign:
             from repro.kernels.providers import warn_compiled_unavailable
 
             if get_provider() is None:
-                warn_compiled_unavailable("no Numba and no C compiler")
+                warn_compiled_unavailable("no C compiler")
             effective = "batched"
         else:
             effective = requested
@@ -349,17 +348,16 @@ class FaultCampaign:
         instructions: Sequence[Instruction],
         n_trials: int,
         first_trial: int = 0,
-        batched: bool = False,
         backend: Optional[str] = None,
     ) -> CampaignResult:
         """Run ``n_trials`` independent trials over the same workload.
 
-        ``backend`` (scalar/batched/compiled/auto) supersedes the legacy
-        ``batched`` flag when given; results are identical on every tier.
+        ``backend`` is scalar (the default), batched, compiled or auto;
+        results are identical on every tier.
         """
         if n_trials <= 0:
             raise ValueError(f"n_trials must be positive, got {n_trials}")
-        run = self._runner(self.resolve_backend(backend, batched))
+        run = self._runner(self.resolve_backend(backend))
         trials = tuple(
             run(instructions, trial=first_trial + t) for t in range(n_trials)
         )
@@ -369,7 +367,6 @@ class FaultCampaign:
         self,
         workloads: Dict[str, Sequence[Instruction]],
         trials_per_workload: int,
-        batched: bool = False,
         backend: Optional[str] = None,
     ) -> CampaignResult:
         """Paper-style scoring: N trials of each named workload, pooled.
@@ -382,14 +379,14 @@ class FaultCampaign:
         in the suite.  (Before PR 2 the stream was derived from the
         position, so adding a workload silently reseeded the others.)
 
-        ``backend`` supersedes the legacy ``batched`` flag when given.
-        On the compiled tier the whole suite -- every workload x trial --
+        ``backend`` selects the tier as in :meth:`run_trials`.  On the
+        compiled tier the whole suite -- every workload x trial --
         is fused into one rectangular mask block and one native kernel
         dispatch; per-trial RNG streams are drawn independently exactly
         as on the other tiers, so the pooled ``TrialResult``s stay
         bit-identical.
         """
-        effective = self.resolve_backend(backend, batched)
+        effective = self.resolve_backend(backend)
         if effective == "compiled":
             return self._run_suite_compiled(workloads, trials_per_workload)
         run = self._runner(effective)

@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.alu.base import FaultableUnit
 from repro.alu.nanobox import NanoBoxALU
 from repro.faults.mask import MaskPolicy
 from repro.faults.temporal import TemporalFaultProcess
@@ -23,7 +22,7 @@ from repro.grid.engine import SparseGrid, TemporalScheduler
 from repro.grid.grid import Coord, LinkFaultPolicy, NanoBoxGrid
 from repro.grid.watchdog import CellState, LifecyclePolicy, Watchdog
 
-#: Valid ``grid_engine`` selections (mirrors the ALU ``backend`` tiers).
+#: Valid ``grid_engine`` selections.
 GRID_ENGINES = ("dense", "sparse", "auto")
 from repro.workloads.bitmap import Bitmap
 from repro.workloads.imaging import ImageWorkload
@@ -107,12 +106,6 @@ class GridSimulator:
             detected and rejected instead of silently delivered (one
             extra cycle per packet per hop).
         seed: base PRNG seed for all injection streams.
-        backend: ALU evaluation tier (``scalar``/``batched``/
-            ``compiled``/``auto``).  ``compiled``/``auto`` route each
-            cell's per-instruction ``compute`` through one shared
-            native kernel engine (batches of one); results are
-            bit-identical on every tier.  ``None`` keeps the plain
-            scalar units.
         grid_engine: fabric evaluation tier.  ``dense`` (default) does
             per-cell work every cycle; ``sparse`` is the event-driven
             :class:`~repro.grid.engine.SparseGrid` core, bit-identical
@@ -146,7 +139,6 @@ class GridSimulator:
         link_fault_config: Optional[LinkFaultPolicy] = None,
         crc_enabled: bool = False,
         seed: int = 0,
-        backend: Optional[str] = None,
         grid_engine: str = "dense",
     ) -> None:
         if memory_upset_rate < 0 or memory_upset_rate >= 1:
@@ -193,33 +185,6 @@ class GridSimulator:
         }
         self._memory_upsets = 0
 
-        kernel_engine = None
-        if backend is not None:
-            from repro.kernels import BACKENDS, build_compiled_unit
-            from repro.kernels.providers import warn_compiled_unavailable
-
-            if backend not in BACKENDS:
-                raise ValueError(
-                    f"unknown backend {backend!r}; valid: {BACKENDS}"
-                )
-            if backend in ("compiled", "auto"):
-                # One engine shared by every cell: the plan depends only
-                # on the scheme, cells compute sequentially, and the
-                # engine holds no cross-call state.
-                kernel_engine = build_compiled_unit(
-                    NanoBoxALU(scheme=alu_scheme)
-                )
-                if kernel_engine is None and backend == "compiled":
-                    warn_compiled_unavailable("no provider or unsupported unit")
-
-        def alu_factory() -> FaultableUnit:
-            unit = NanoBoxALU(scheme=alu_scheme)
-            if kernel_engine is not None:
-                from repro.kernels import AcceleratedUnit
-
-                return AcceleratedUnit(unit, kernel_engine)
-            return unit
-
         def mask_source_factory(coord: Coord):
             if self._alu_policy is None:
                 return lambda: 0
@@ -255,7 +220,7 @@ class GridSimulator:
         self.grid = grid_cls(
             rows,
             cols,
-            alu_factory=alu_factory,
+            alu_factory=lambda: NanoBoxALU(scheme=alu_scheme),
             mask_source_factory=mask_source_factory,
             n_words=n_words,
             error_threshold=error_threshold,

@@ -6,28 +6,22 @@ Three evaluation tiers share one contract -- bit- and stream-identical
 * **scalar** -- the reference object graph, one instruction at a time;
 * **batched** -- the vectorized NumPy engine (:mod:`repro.alu.batched`);
 * **compiled** -- a lowered plan (:mod:`repro.kernels.plan`) run by a
-  native executor: ``numba.njit`` over the reference interpreter when
-  Numba is installed, otherwise a generated-and-cached C extension
-  loaded via ``ctypes`` (:mod:`repro.kernels.cbuild`).
+  generated-and-cached C extension loaded via ``ctypes``
+  (:mod:`repro.kernels.cbuild`).
 
 ``auto`` resolves to the fastest tier available at runtime; explicit
 ``compiled`` requests degrade to ``batched`` with a one-time stderr
-warning when no native provider is live.  Selection is surfaced as
-``--backend`` on the sweep/grid/chaos/lifecycle CLIs and the
-``REPRO_BACKEND`` environment variable.
+warning when no C compiler is available.  The tier is chosen where a
+campaign runs (:meth:`repro.faults.campaign.FaultCampaign.resolve_backend`)
+and surfaced as ``sweep --backend`` and the ``REPRO_BACKEND``
+environment variable.  Grid cells always run the scalar unit.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
-from repro.kernels.engine import (
-    AcceleratedUnit,
-    CompiledEngine,
-    accelerate_unit,
-    build_compiled_unit,
-)
+from repro.kernels.engine import CompiledEngine, build_compiled_unit
 from repro.kernels.plan import KernelPlan, build_plan
 from repro.kernels.providers import (
     KernelProvider,
@@ -40,35 +34,18 @@ from repro.kernels.providers import (
 #: The backend seam's vocabulary, in increasing order of ambition.
 BACKENDS = ("scalar", "batched", "compiled", "auto")
 
-#: Environment default for ``--backend`` (CLI flags still win).
+#: Environment default for ``sweep --backend`` (the flag still wins).
 BACKEND_ENV = "REPRO_BACKEND"
 
 
-def backend_from_env(default: Optional[str] = None) -> Optional[str]:
-    """The ``REPRO_BACKEND`` selection, validated; ``default`` if unset."""
-    value = os.environ.get(BACKEND_ENV)
-    if not value:
-        return default
-    if value not in BACKENDS:
-        raise ValueError(
-            f"{BACKEND_ENV}={value!r} is not a backend; valid: {BACKENDS}"
-        )
-    return value
+def resolve_backend(backend: Optional[str]) -> str:
+    """Canonicalise a backend request; ``None`` selects ``"scalar"``.
 
-
-def resolve_backend(
-    backend: Optional[str], batched: Optional[bool] = None
-) -> str:
-    """Canonicalise a backend request.
-
-    ``backend=None`` keeps pre-compiled-tier call sites working: it maps
-    the legacy ``batched`` boolean (``True`` -> ``"batched"``,
-    ``False``/``None`` -> ``"scalar"``).  ``"auto"`` stays symbolic here;
-    it is resolved per *unit* (compiled when the unit lowers and a
-    provider is live, batched otherwise).
+    ``"auto"`` stays symbolic here; it is resolved per *unit* (compiled
+    when the unit lowers and a provider is live, batched otherwise).
     """
     if backend is None:
-        return "batched" if batched else "scalar"
+        return "scalar"
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; valid: {BACKENDS}"
@@ -77,14 +54,11 @@ def resolve_backend(
 
 
 __all__ = [
-    "AcceleratedUnit",
     "BACKENDS",
     "BACKEND_ENV",
     "CompiledEngine",
     "KernelPlan",
     "KernelProvider",
-    "accelerate_unit",
-    "backend_from_env",
     "build_compiled_unit",
     "build_plan",
     "get_provider",

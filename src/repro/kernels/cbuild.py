@@ -111,9 +111,8 @@ _U8P = ctypes.POINTER(ctypes.c_uint8)
 def load_eval(lib_path: Path) -> Callable:
     """dlopen the kernel and wrap its entry point in the eval signature.
 
-    The returned callable matches :func:`repro.kernels.interp.make_eval`'s
-    product: ``fn(header, ipool, bpool, ops, va, vb, words, n, n_words,
-    out, scratch)`` over contiguous NumPy arrays.
+    The returned callable is ``fn(header, ipool, bpool, ops, va, vb,
+    words, n, n_words, out, scratch)`` over contiguous NumPy arrays.
     """
     try:
         lib = ctypes.CDLL(str(lib_path))

@@ -1,9 +1,9 @@
 """Generated C source for the compiled kernel tier.
 
-A transliteration of :mod:`repro.kernels.interp` -- same plan format,
-same arithmetic, same evaluation order -- compiled once per machine by
-:mod:`repro.kernels.cbuild` and called through ``ctypes``.  The ABI is a
-single entry point:
+An executor for the plan format of :mod:`repro.kernels.plan`, with the
+batched NumPy tier's arithmetic and evaluation order, compiled once per
+machine by :mod:`repro.kernels.cbuild` and called through ``ctypes``.
+The ABI is a single entry point:
 
 .. code-block:: c
 
@@ -14,7 +14,7 @@ single entry point:
                          int64_t n_words, int64_t *out, uint8_t *scratch);
 
 All layout constants are injected from :mod:`repro.kernels.plan` at
-format time, so the two executors can never drift on the encoding.
+format time, so the kernel can never drift from the encoding.
 """
 
 from __future__ import annotations

@@ -2,12 +2,11 @@
 
 :class:`CompiledEngine` is the third tier below the scalar unit and the
 batched NumPy engine: same validation, same results, but evaluation runs
-through a provider's plan executor (Numba-jitted interpreter or the
-generated C kernel) directly over *packed* ``uint64`` fault words.  The
-batched tier pays ``unpack_flags`` -- an (n, site_count) uint8
-materialisation -- plus dozens of NumPy kernel launches per trial; the
-compiled tier reads mask bits in place and retires a whole suite in one
-native call.
+through the provider's plan executor (the generated C kernel) directly
+over *packed* ``uint64`` fault words.  The batched tier pays
+``unpack_flags`` -- an (n, site_count) uint8 materialisation -- plus
+dozens of NumPy kernel launches per trial; the compiled tier reads mask
+bits in place and retires a whole suite in one native call.
 """
 
 from __future__ import annotations
@@ -16,8 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.alu.base import ALUResult, FaultableUnit
-from repro.faults.packing import WORD_DTYPE, int_to_words, words_for_sites
+from repro.faults.packing import WORD_DTYPE, words_for_sites
 from repro.kernels.plan import KernelPlan, build_plan
 from repro.kernels.providers import KernelProvider, get_provider
 from repro.obs import get_observer
@@ -105,8 +103,8 @@ class CompiledEngine:
 def build_compiled_unit(unit) -> Optional[CompiledEngine]:
     """Compile a campaign compute unit, or return ``None`` to fall back.
 
-    ``None`` means either no provider is live on this machine (no Numba,
-    no C compiler) or the unit has no lowered form (the same family the
+    ``None`` means either no provider is live on this machine (no C
+    compiler) or the unit has no lowered form (the same family the
     batched tier rejects).  Callers degrade to batched/scalar; results
     are identical on every tier.
     """
@@ -119,8 +117,8 @@ def build_compiled_unit(unit) -> Optional[CompiledEngine]:
     engine = CompiledEngine(plan, provider)
     obs = get_observer()
     obs.metrics.counter("kernel.engines_built").inc()
-    # First-call warmup outside every campaign timer: with Numba the
-    # per-signature specialisation compiles here, not inside a trial.
+    # First-call warmup outside every campaign timer, so one-off costs
+    # (page-ins, the first ctypes dispatch) never land inside a trial.
     with obs.metrics.time("kernel.warmup"):
         engine.bundles_words(
             np.zeros(1, dtype=np.int64),
@@ -129,87 +127,3 @@ def build_compiled_unit(unit) -> Optional[CompiledEngine]:
             np.zeros((1, engine.n_words), dtype=WORD_DTYPE),
         )
     return engine
-
-
-class AcceleratedUnit(FaultableUnit):
-    """A scalar ``compute`` facade over a :class:`CompiledEngine`.
-
-    Lets grid cells (which compute one instruction at a time against a
-    per-cell mask stream) ride the compiled tier: each call is a batch
-    of one through the native kernel.  Everything else -- site layout,
-    storage images, probing -- delegates to the wrapped unit, and any
-    input the kernel does not model (invalid opcodes, out-of-range
-    operands or masks) is delegated wholesale so error behaviour stays
-    canonical.
-    """
-
-    def __init__(self, unit: FaultableUnit, engine: CompiledEngine) -> None:
-        self._unit = unit
-        self._engine = engine
-        self._ops = np.zeros(1, dtype=np.int64)
-        self._a = np.zeros(1, dtype=np.int64)
-        self._b = np.zeros(1, dtype=np.int64)
-        self._words = np.zeros((1, engine.n_words), dtype=WORD_DTYPE)
-
-    @property
-    def wrapped(self) -> FaultableUnit:
-        """The scalar unit this facade accelerates."""
-        return self._unit
-
-    @property
-    def site_space(self):
-        return self._unit.site_space
-
-    def compute(self, op: int, a: int, b: int, fault_mask: int = 0) -> ALUResult:
-        if not (
-            0 <= op <= 7
-            and 0 <= a <= 0xFF
-            and 0 <= b <= 0xFF
-            and fault_mask >= 0
-            and fault_mask >> self._unit.site_count == 0
-        ):
-            return self._unit.compute(op, a, b, fault_mask=fault_mask)
-        self._ops[0] = op
-        self._a[0] = a
-        self._b[0] = b
-        self._words[0] = int_to_words(fault_mask, self._unit.site_count)
-        try:
-            bundle = int(
-                self._engine.bundles_words(
-                    self._ops, self._a, self._b, self._words
-                )[0]
-            )
-        except ValueError:
-            # e.g. an opcode with no internal encoding: the scalar unit
-            # owns the canonical error message.
-            return self._unit.compute(op, a, b, fault_mask=fault_mask)
-        return ALUResult.from_bundle(bundle)
-
-    def __getattr__(self, name: str):
-        return getattr(self._unit, name)
-
-
-def accelerate_unit(unit: FaultableUnit, backend: str = "auto") -> FaultableUnit:
-    """Wrap a unit so scalar ``compute`` calls run on the compiled tier.
-
-    ``backend`` follows the campaign seam: ``"scalar"``/``"batched"``
-    return the unit unchanged (there is no per-call batching to exploit
-    here), ``"auto"`` wraps when a compiled engine is available and
-    silently returns the original otherwise, ``"compiled"`` warns once
-    on stderr before degrading.
-    """
-    from repro.kernels import BACKENDS
-    from repro.kernels.providers import warn_compiled_unavailable
-
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; valid: {BACKENDS}"
-        )
-    if backend in ("scalar", "batched"):
-        return unit
-    engine = build_compiled_unit(unit)
-    if engine is None:
-        if backend == "compiled":
-            warn_compiled_unavailable("no provider or unsupported unit")
-        return unit
-    return AcceleratedUnit(unit, engine)

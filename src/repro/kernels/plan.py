@@ -12,10 +12,9 @@ To make that loop generic over all twelve Table 2 variants, the unit is
 * ``bpool`` -- ``uint8[]``: byte tables (truth tables, Hamming
   false-positive tables).
 
-The same plan drives both the pure-Python reference interpreter
-(:mod:`repro.kernels.interp`, also the Numba JIT target) and the
-generated C kernel (:mod:`repro.kernels.csrc`) -- one data format, two
-executors, bit-identical by construction.
+The plan is the input of the generated C kernel
+(:mod:`repro.kernels.csrc`), whose layout constants are read from this
+module, so the format and its executor cannot drift apart.
 
 Lowering starts from :func:`repro.alu.batched.build_batched_unit`'s
 object graph rather than the scalar unit: the batched classes already
@@ -49,7 +48,7 @@ LUT_HAMMING_FP = 3
 NODE_LUT = 0
 NODE_NETLIST = 1
 
-#: Gate type codes shared by interpreter and C source.
+#: Gate type codes shared with the C source.
 GATE_NOT = 0
 GATE_BUF = 1
 GATE_AND = 2

@@ -1,21 +1,18 @@
-"""Compiled-kernel provider chain: Numba first, generated C second.
+"""Compiled-kernel provider chain: generated C, else nothing.
 
-A *provider* is a named evaluator implementing the plan-eval signature
-of :func:`repro.kernels.interp.make_eval`.  Probing order:
+A *provider* is a named evaluator over a lowered plan
+(:mod:`repro.kernels.plan`).  Probing order:
 
-1. **numba** -- ``numba.njit`` over the reference interpreter, when the
-   optional dependency is importable and compiles;
-2. **cc** -- the generated C kernel (:mod:`repro.kernels.cbuild`), when
+1. **cc** -- the generated C kernel (:mod:`repro.kernels.cbuild`), when
    a C compiler is on PATH;
-3. none -- the compiled tier is unavailable and callers degrade to the
+2. none -- the compiled tier is unavailable and callers degrade to the
    batched NumPy tier (silently under ``auto``; with a one-time stderr
    warning when ``compiled`` was requested explicitly).
 
-Every probe failure is captured, never raised: a broken Numba install
-or missing toolchain can only cost speed, not correctness.  Probing is
-cached per process; tests monkeypatch :func:`_import_numba` /
-:func:`_build_cc` and call :func:`reset_provider_cache` to exercise
-each degradation path.
+Every probe failure is captured, never raised: a missing or broken
+toolchain can only cost speed, not correctness.  Probing is cached per
+process; tests monkeypatch :func:`_build_cc` and call
+:func:`reset_provider_cache` to exercise the degradation path.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from repro.obs import get_observer
 class KernelProvider:
     """One live compiled-tier executor."""
 
-    name: str  # "numba" | "cc"
+    name: str  # "cc"
     eval_fn: Callable
     compile_seconds: float
 
@@ -45,36 +42,8 @@ _failures: List[str] = []
 _warned = False
 
 
-def _import_numba():
-    """Import hook isolated for tests (mocked away to simulate absence)."""
-    import numba
-
-    return numba
-
-
-def _build_numba() -> KernelProvider:
-    """Provider 1: the reference interpreter under ``numba.njit``."""
-    numba = _import_numba()
-    from repro.kernels.interp import make_eval
-
-    start = time.perf_counter()
-    # Plain njit: closure-captured dispatchers preclude on-disk caching,
-    # and the per-process compile lands on the jit_compile timer anyway.
-    eval_fn = make_eval(numba.njit)
-    # Force a real compile now (first engine warmup would otherwise hide
-    # a broken toolchain until deep inside a campaign).
-    from repro.kernels.cbuild import self_test
-
-    self_test(eval_fn)
-    return KernelProvider(
-        name="numba",
-        eval_fn=eval_fn,
-        compile_seconds=time.perf_counter() - start,
-    )
-
-
 def _build_cc() -> KernelProvider:
-    """Provider 2: the generated-and-cached C extension via ctypes."""
+    """The generated-and-cached C extension via ctypes."""
     from repro.kernels.cbuild import build_library, load_eval, self_test
     from repro.kernels.csrc import c_source
 
@@ -91,7 +60,7 @@ def _build_cc() -> KernelProvider:
 def get_provider() -> Optional[KernelProvider]:
     """The process's compiled-tier provider, or ``None`` if unavailable.
 
-    The first call probes (and JIT-compiles); the verdict is cached.
+    The first call probes (and compiles); the verdict is cached.
     Compile time lands on the ``kernel.jit_compile`` observability timer
     -- *outside* every campaign trial timer, so benchmark numbers never
     include first-call warmup.
@@ -99,22 +68,20 @@ def get_provider() -> Optional[KernelProvider]:
     global _provider
     if _provider is _UNPROBED:
         _provider = _probe()
-    return None if _provider is None else _provider
+    return _provider
 
 
 def _probe() -> Optional[KernelProvider]:
     obs = get_observer()
-    for name, builder in (("numba", _build_numba), ("cc", _build_cc)):
-        try:
-            with obs.metrics.time("kernel.jit_compile"):
-                provider = builder()
-        except Exception as exc:  # noqa: BLE001 - any failure means "skip"
-            _failures.append(f"{name}: {exc!r}")
-            continue
-        obs.metrics.counter(f"kernel.provider.{provider.name}").inc()
-        return provider
-    obs.metrics.counter("kernel.provider.none").inc()
-    return None
+    try:
+        with obs.metrics.time("kernel.jit_compile"):
+            provider = _build_cc()
+    except Exception as exc:  # noqa: BLE001 - any failure means "none"
+        _failures.append(f"cc: {exc!r}")
+        obs.metrics.counter("kernel.provider.none").inc()
+        return None
+    obs.metrics.counter(f"kernel.provider.{provider.name}").inc()
+    return provider
 
 
 def provider_failures() -> List[str]:

@@ -106,8 +106,6 @@ def _kill_spec(value: Any) -> str:
     return value
 
 
-_BACKEND = _choice("scalar", "batched", "compiled", "auto")
-
 #: ``kind -> (param -> (flag, converter, multivalue))``, in the fixed
 #: order the canonical argv is assembled.  ``multivalue`` flags take a
 #: list and lower to ``--flag v1 v2 ...``; boolean params lower to the
@@ -119,7 +117,9 @@ PARAM_SPECS: Dict[str, Dict[str, Tuple[str, Callable[[Any], Any], bool]]] = {
         "trials": ("--trials", _int(1, 100), False),
         "seed": ("--seed", _int(), False),
         "jobs": ("--jobs", _int(1, 64), False),
-        "backend": ("--backend", _BACKEND, False),
+        "backend": ("--backend", _choice(
+            "scalar", "batched", "compiled", "auto"
+        ), False),
     },
     "grid": {
         "rows": ("--rows", _int(1, 64), False),
@@ -136,7 +136,6 @@ PARAM_SPECS: Dict[str, Dict[str, Tuple[str, Callable[[Any], Any], bool]]] = {
         "adaptive": ("--adaptive", _bool, False),
         "rounds": ("--rounds", _int(1, 100), False),
         "seed": ("--seed", _int(), False),
-        "backend": ("--backend", _BACKEND, False),
     },
     "chaos": {
         "rates": ("--rates", _list_of(_float(0.0)), False),
@@ -147,7 +146,6 @@ PARAM_SPECS: Dict[str, Dict[str, Tuple[str, Callable[[Any], Any], bool]]] = {
         "cols": ("--cols", _int(1, 64), False),
         "instructions": ("--instructions", _int(1, 10000), False),
         "seed": ("--seed", _int(), False),
-        "backend": ("--backend", _BACKEND, False),
     },
     "lifecycle": {
         "processes": ("--processes", _list_of(_choice(
@@ -161,7 +159,6 @@ PARAM_SPECS: Dict[str, Dict[str, Tuple[str, Callable[[Any], Any], bool]]] = {
         "rows": ("--rows", _int(1, 64), False),
         "cols": ("--cols", _int(1, 64), False),
         "seed": ("--seed", _int(), False),
-        "backend": ("--backend", _BACKEND, False),
     },
 }
 

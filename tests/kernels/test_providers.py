@@ -1,6 +1,6 @@
 """Provider probing and graceful degradation of the compiled tier.
 
-The chain is numba -> generated C -> none; any failure is captured, not
+The chain is generated C -> none; any failure is captured, not
 raised.  ``auto`` degrades silently; an explicit ``compiled`` request
 warns exactly once on stderr.  The probe verdict is cached per process,
 so each test resets the cache around its monkeypatching (and the module
@@ -29,28 +29,17 @@ def fresh_probe():
     get_provider()  # re-warm for subsequent test modules
 
 
-def _no_numba():
-    raise ModuleNotFoundError("No module named 'numba'")
-
-
 def _no_cc():
     raise KernelBuildError("no C compiler on PATH")
 
 
 class TestProviderChain:
-    def test_numba_absent_falls_through_to_cc(self, monkeypatch):
-        monkeypatch.setattr(providers_mod, "_import_numba", _no_numba)
-        provider = get_provider()
-        assert provider is not None
-        assert provider.name == "cc"
-        assert any("numba" in f for f in provider_failures())
-
     def test_no_provider_at_all(self, monkeypatch):
-        monkeypatch.setattr(providers_mod, "_import_numba", _no_numba)
         monkeypatch.setattr(providers_mod, "_build_cc", _no_cc)
         assert get_provider() is None
         failures = provider_failures()
-        assert len(failures) == 2
+        assert len(failures) == 1
+        assert failures[0].startswith("cc: ")
 
     def test_probe_verdict_is_cached(self, monkeypatch):
         calls = []
@@ -59,34 +48,15 @@ class TestProviderChain:
             calls.append(1)
             _no_cc()
 
-        monkeypatch.setattr(providers_mod, "_import_numba", _no_numba)
         monkeypatch.setattr(providers_mod, "_build_cc", counting_cc)
         assert get_provider() is None
         assert get_provider() is None
         assert len(calls) == 1
 
-    def test_broken_jit_is_captured_not_raised(self, monkeypatch):
-        """A Numba import that *succeeds* but fails to compile still
-        degrades cleanly to the next provider."""
-
-        class BrokenNumba:
-            @staticmethod
-            def njit(fn):
-                raise RuntimeError("LLVM exploded")
-
-        monkeypatch.setattr(
-            providers_mod, "_import_numba", lambda: BrokenNumba
-        )
-        provider = get_provider()
-        assert provider is not None
-        assert provider.name == "cc"
-        assert any("LLVM exploded" in f for f in provider_failures())
-
 
 class TestDegradedCampaigns:
     @pytest.fixture
     def dead_tier(self, monkeypatch):
-        monkeypatch.setattr(providers_mod, "_import_numba", _no_numba)
         monkeypatch.setattr(providers_mod, "_build_cc", _no_cc)
 
     @pytest.fixture

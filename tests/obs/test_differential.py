@@ -31,26 +31,26 @@ def _observed(fn):
 
 
 class TestCampaignUnperturbed:
-    def _suite(self, batched):
+    def _suite(self, backend):
         campaign = FaultCampaign(
             build_alu("alunn"), ExactFractionMask(0.03), seed=11
         )
         return campaign.run_workload_suite(
-            paper_workloads(gradient(8, 8)), 2, batched=batched
+            paper_workloads(gradient(8, 8)), 2, backend=backend
         )
 
     def test_scalar_suite_identical(self):
-        bare = self._suite(batched=False)
-        observed, obs = _observed(lambda: self._suite(batched=False))
+        bare = self._suite(backend="scalar")
+        observed, obs = _observed(lambda: self._suite(backend="scalar"))
         assert observed == bare
         assert obs.metrics.counter("campaign.trials").value == 4
 
     def test_batched_suite_identical(self):
-        bare = self._suite(batched=True)
-        observed, obs = _observed(lambda: self._suite(batched=True))
+        bare = self._suite(backend="batched")
+        observed, obs = _observed(lambda: self._suite(backend="batched"))
         assert observed == bare
         # Scalar and batched also agree with each other, observed or not.
-        assert observed == self._suite(batched=False)
+        assert observed == self._suite(backend="scalar")
         assert obs.trace.events_of("trial_end")
 
 

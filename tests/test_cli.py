@@ -186,3 +186,37 @@ class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestBackendSelection:
+    def test_invalid_env_backend_is_a_sweep_usage_error(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_BACKEND", "bogus")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--quick"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and " sweep " in err.splitlines()[0]
+        assert "error: $REPRO_BACKEND='bogus' is not a backend" in err
+
+    def test_flag_wins_over_invalid_env_backend(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "bogus")
+        assert main(["sweep", "--quick", "--backend", "batched"]) == 0
+        assert "No Module-Level Fault Tolerance" in capsys.readouterr().out
+
+    def test_other_commands_ignore_env_backend(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "bogus")
+        assert main(["table2"]) == 0
+        assert "aluss" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["grid", "--help"])
+        assert exc.value.code == 0
+        assert "--grid-engine" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ("grid", "chaos", "lifecycle"))
+    def test_backend_flag_only_on_sweep(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--backend", "compiled"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err

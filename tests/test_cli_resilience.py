@@ -8,6 +8,7 @@ status 3.
 """
 
 import json
+import re
 
 import pytest
 
@@ -63,6 +64,38 @@ class TestResumeByteIdentity:
         assert out == plain_out
         assert "quarantined 1 corrupt record(s)" in err
         assert list((tmp_path / "ck").glob("*/*.corrupt*"))
+
+
+class TestCrossTierResume:
+    def test_scalar_checkpoints_resume_on_compiled(self, capsys, tmp_path):
+        """Every tier computes the same cells, so checkpoints are shared:
+        a compiled resume reuses every chunk a scalar run wrote."""
+        _, plain_out, _ = _run(capsys, SWEEP)
+        ck = ["--checkpoint-dir", str(tmp_path / "ck")]
+        _run(capsys, SWEEP + ck + ["--backend", "scalar"])
+        status, out, err = _run(
+            capsys, SWEEP + ck + ["--backend", "compiled", "--resume"]
+        )
+        assert status == 0
+        assert out == plain_out
+        reused = re.search(r"reused (\d+)/(\d+) chunk\(s\), computed 0", err)
+        assert reused and reused.group(1) == reused.group(2)
+
+    def test_run_key_ignores_tier(self, tmp_path):
+        from repro.experiments.figures import run_figure_resilient
+        from repro.perf import ResilientRuntime
+
+        keys = {
+            run_figure_resilient(
+                "figure7",
+                ResilientRuntime(checkpoint_dir=tmp_path / backend),
+                fault_percents=(0,),
+                trials_per_workload=1,
+                backend=backend,
+            ).outcome.run_key
+            for backend in ("scalar", "batched")
+        }
+        assert len(keys) == 1
 
 
 class TestDeadline:
