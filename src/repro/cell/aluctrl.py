@@ -19,7 +19,7 @@ from typing import Callable, Optional, Tuple
 
 from repro.alu.base import FaultableUnit, Opcode
 from repro.cell.memory import CellMemory
-from repro.cell.memword import MemoryWord
+from repro.cell.memword import MemoryWord, word_flags
 
 #: Provides a fresh ALU fault mask per computation (paper Section 4).
 MaskSource = Callable[[], int]
@@ -150,29 +150,28 @@ class ALUControl:
         index = self._pointer
         self._pointer = (self._pointer + 1) % self._memory.n_words
 
-        word = self._memory.read(index)
+        # Vote the flags from the stored bits; decode the whole word only
+        # once it is known to be computed.
+        raw = self._memory.read_raw(index)
+        flags = word_flags(raw)
         if self._field_voter is None:
-            data_valid, to_be_computed = word.data_valid, word.to_be_computed
+            data_valid, to_be_computed = flags
         else:
             data_valid, to_be_computed = self._field_voter.classify_word(
-                self._memory.read_raw(index),
-                fault_mask=self._control_mask_source(),
+                raw, fault_mask=self._control_mask_source()
             )
-            if (data_valid, to_be_computed) != (
-                word.data_valid, word.to_be_computed
-            ):
+            if (data_valid, to_be_computed) != flags:
                 self._control_misreads += 1
         if not data_valid or not to_be_computed:
             return StepReport(index, StepOutcome.SKIPPED)
+        word = self._memory.read(index)
         try:
             Opcode.from_int(word.opcode)
         except ValueError:
             # An upset corrupted the opcode beyond the ISA; drop the word
             # rather than wedge the loop.  The watchdog counts this via the
             # cell's error tally.
-            self._memory.write_raw(
-                index, MemoryWord.clear_to_be_computed(self._memory.read_raw(index))
-            )
+            self._memory.write_raw(index, MemoryWord.clear_to_be_computed(raw))
             return StepReport(index, StepOutcome.REJECTED)
 
         copies = tuple(
@@ -184,13 +183,16 @@ class ALUControl:
             ).value
             for _ in range(self._copies)
         )
-        raw = self._memory.read_raw(index)
-        raw = MemoryWord.store_results(raw, copies[:3])
+        # The word has three result slots: a single generated copy fills
+        # all of them (as ``MemoryWord.pack`` does), more fill the first
+        # three.
+        stored = copies * 3 if len(copies) == 1 else copies[:3]
+        raw = MemoryWord.store_results(raw, stored)
         raw = MemoryWord.clear_to_be_computed(raw)
         self._memory.write_raw(index, raw)
 
         self._computed_total += 1
-        report = StepReport(index, StepOutcome.COMPUTED, result_copies=copies[:3])
+        report = StepReport(index, StepOutcome.COMPUTED, result_copies=stored)
         if report.copies_disagree:
             self._disagreements += 1
         return report

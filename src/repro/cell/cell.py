@@ -17,7 +17,7 @@ from repro.alu.base import FaultableUnit
 from repro.cell.aluctrl import ALUControl, MaskSource, StepOutcome, _no_faults
 from repro.cell.heartbeat import Heartbeat
 from repro.cell.memory import CELL_MEMORY_WORDS, CellMemory
-from repro.cell.memword import MemoryWord
+from repro.cell.memword import MemoryWord, word_flags
 
 
 class CellMode(enum.Enum):
@@ -183,13 +183,10 @@ class ProcessorCell:
         while self._shift_out_pointer < self.memory.n_words:
             index = self._shift_out_pointer
             self._shift_out_pointer += 1
-            word = self.memory.read(index)
-            if word.data_valid and not word.to_be_computed:
-                raw = self.memory.read_raw(index)
-                voted = MemoryWord.voted_result(raw)
-                iid = word.instruction_id
+            if word_flags(self.memory.read_raw(index)) == (True, False):
+                word = self.memory.read(index)
                 self.memory.erase(index)
-                return (iid, voted)
+                return (word.instruction_id, word.result)
         return None
 
     def fast_forward_shift_out(self) -> None:

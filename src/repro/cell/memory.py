@@ -9,9 +9,9 @@ critical fields are triplicated at the word level.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
-from repro.cell.memword import MEMORY_WORD_BITS, MemoryWord
+from repro.cell.memword import MEMORY_WORD_BITS, MemoryWord, word_flags
 from repro.coding.bits import bit_length_mask, popcount
 from repro.faults.sites import SiteSpace
 
@@ -93,31 +93,44 @@ class CellMemory:
             self.on_mutate()
 
     # --------------------------------------------------------- bulk queries
+    #
+    # These need only the voted flags, so they read them straight from
+    # the stored bits (:func:`word_flags`) and decode no word.
 
     def free_slot(self) -> Optional[int]:
         """Index of the first word with ``data_valid`` unset, or ``None``."""
         for i in range(self._n_words):
-            if not self.read(i).data_valid:
+            if not word_flags(self._words[i])[0]:
                 return i
         return None
 
     def pending_words(self) -> Iterator[int]:
         """Indices of valid words still awaiting computation."""
         for i in range(self._n_words):
-            word = self.read(i)
-            if word.data_valid and word.to_be_computed:
+            if word_flags(self._words[i]) == (True, True):
                 yield i
 
     def completed_words(self) -> Iterator[int]:
         """Indices of valid words whose computation finished."""
         for i in range(self._n_words):
-            word = self.read(i)
-            if word.data_valid and not word.to_be_computed:
+            if word_flags(self._words[i]) == (True, False):
                 yield i
+
+    def work_counts(self) -> Tuple[int, int]:
+        """``(pending, completed)`` word counts, in one pass."""
+        pending = completed = 0
+        for raw in self._words:
+            data_valid, to_be_computed = word_flags(raw)
+            if data_valid:
+                if to_be_computed:
+                    pending += 1
+                else:
+                    completed += 1
+        return pending, completed
 
     def occupancy(self) -> int:
         """Number of valid words."""
-        return sum(1 for i in range(self._n_words) if self.read(i).data_valid)
+        return sum(1 for raw in self._words if word_flags(raw)[0])
 
     # ------------------------------------------------------------ scrubbing
 
@@ -139,14 +152,13 @@ class CellMemory:
             raw = self._words[index]
             if raw == 0:
                 continue
-            word = MemoryWord.unpack(raw)
-            if not word.data_valid:
+            if not word_flags(raw)[0]:
                 # Majority says invalid: clear stragglers so a half-set
                 # flag cannot drift into validity under later upsets.
                 corrected += popcount(raw)
                 self._words[index] = 0
                 continue
-            canonical = word.pack()
+            canonical = MemoryWord.unpack(raw).pack()
             if canonical != raw:
                 corrected += popcount(canonical ^ raw)
                 self._words[index] = canonical

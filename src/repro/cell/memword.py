@@ -53,10 +53,52 @@ MEMORY_WORD_BITS = _TBC_OFF + FLAG_COPIES
 DATA_VALID_OFFSET = _DV_OFF
 TO_BE_COMPUTED_OFFSET = _TBC_OFF
 
+#: Width of each range-checked field.
+_FIELD_BITS = (
+    ("instruction_id", INSTRUCTION_ID_BITS),
+    ("opcode", OPCODE_BITS),
+    ("operand1", OPERAND_BITS),
+    ("operand2", OPERAND_BITS),
+    ("result", OPERAND_BITS),
+)
+
+_IID_MASK = bit_length_mask(INSTRUCTION_ID_BITS)
+_OPCODE_MASK = bit_length_mask(OPCODE_BITS)
+_OPERAND_MASK = bit_length_mask(OPERAND_BITS)
+
 
 def majority_bit(bits: Tuple[int, int, int]) -> int:
     """Majority of three flag copies -- the triplicated-field read rule."""
     return 1 if sum(bits) >= 2 else 0
+
+
+#: Mask of the six stored flag bits once shifted down by
+#: ``DATA_VALID_OFFSET``: the ``data_valid`` copies, then (directly above
+#: them) the ``to_be_computed`` copies.
+_FLAG_BITS_MASK = bit_length_mask(2 * FLAG_COPIES)
+
+
+def _vote_flag_bits(bits: int) -> Tuple[bool, bool]:
+    copies = tuple((bits >> c) & 1 for c in range(2 * FLAG_COPIES))
+    return (
+        bool(majority_bit(copies[:FLAG_COPIES])),
+        bool(majority_bit(copies[FLAG_COPIES:])),
+    )
+
+
+#: Voted ``(data_valid, to_be_computed)`` for each of the 64 flag-bit
+#: patterns, built once from :func:`majority_bit`.
+_FLAG_VOTES = tuple(_vote_flag_bits(bits) for bits in range(_FLAG_BITS_MASK + 1))
+
+
+def word_flags(raw: int) -> Tuple[bool, bool]:
+    """Voted ``(data_valid, to_be_computed)`` of a stored word.
+
+    Reads only the six flag bits, so callers that need just the flags --
+    free-slot search, pending/completed scans, the ALU control's first
+    look at a word -- skip the full :meth:`MemoryWord.unpack`.
+    """
+    return _FLAG_VOTES[(raw >> _DV_OFF) & _FLAG_BITS_MASK]
 
 
 @dataclass(frozen=True)
@@ -72,14 +114,8 @@ class MemoryWord:
     to_be_computed: bool = False
 
     def __post_init__(self) -> None:
-        checks = (
-            ("instruction_id", self.instruction_id, INSTRUCTION_ID_BITS),
-            ("opcode", self.opcode, OPCODE_BITS),
-            ("operand1", self.operand1, OPERAND_BITS),
-            ("operand2", self.operand2, OPERAND_BITS),
-            ("result", self.result, OPERAND_BITS),
-        )
-        for name, value, bits in checks:
+        for name, bits in _FIELD_BITS:
+            value = getattr(self, name)
             if value < 0 or value >> bits:
                 raise ValueError(f"{name}={value} does not fit in {bits} bits")
 
@@ -114,21 +150,15 @@ class MemoryWord:
             raise ValueError(
                 f"raw word {raw:#x} does not fit in {MEMORY_WORD_BITS} bits"
             )
-        iid = (raw >> _IID_OFF) & bit_length_mask(INSTRUCTION_ID_BITS)
-        opcode = (raw >> _OPCODE_OFF) & bit_length_mask(OPCODE_BITS)
-        op1 = (raw >> _OP1_OFF) & bit_length_mask(OPERAND_BITS)
-        op2 = (raw >> _OP2_OFF) & bit_length_mask(OPERAND_BITS)
-        result = cls.voted_result(raw)
-        dv = majority_bit(tuple((raw >> (_DV_OFF + c)) & 1 for c in range(3)))
-        tbc = majority_bit(tuple((raw >> (_TBC_OFF + c)) & 1 for c in range(3)))
+        dv, tbc = word_flags(raw)
         return cls(
-            instruction_id=iid,
-            opcode=opcode,
-            operand1=op1,
-            operand2=op2,
-            result=result,
-            data_valid=bool(dv),
-            to_be_computed=bool(tbc),
+            instruction_id=(raw >> _IID_OFF) & _IID_MASK,
+            opcode=(raw >> _OPCODE_OFF) & _OPCODE_MASK,
+            operand1=(raw >> _OP1_OFF) & _OPERAND_MASK,
+            operand2=(raw >> _OP2_OFF) & _OPERAND_MASK,
+            result=cls.voted_result(raw),
+            data_valid=dv,
+            to_be_computed=tbc,
         )
 
     # --------------------------------------------------------- raw helpers
@@ -136,9 +166,10 @@ class MemoryWord:
     @staticmethod
     def result_copies(raw: int) -> Tuple[int, int, int]:
         """Extract the three stored result copies from a raw word."""
-        mask = bit_length_mask(OPERAND_BITS)
-        return tuple(
-            (raw >> (_RESULT_OFF + c * OPERAND_BITS)) & mask for c in range(3)
+        return (
+            (raw >> _RESULT_OFF) & _OPERAND_MASK,
+            (raw >> (_RESULT_OFF + OPERAND_BITS)) & _OPERAND_MASK,
+            (raw >> (_RESULT_OFF + 2 * OPERAND_BITS)) & _OPERAND_MASK,
         )
 
     @staticmethod

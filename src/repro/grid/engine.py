@@ -315,8 +315,7 @@ class SparseGrid(NanoBoxGrid):
 
     def _flush_cell(self, coord: Coord) -> None:
         cell = self._cells[coord]
-        pending = sum(1 for _ in cell.memory.pending_words())
-        completed = sum(1 for _ in cell.memory.completed_words())
+        pending, completed = cell.memory.work_counts()
         old_pending, old_completed = self._cell_counts.get(coord, (0, 0))
         if self._alive[coord]:
             self._total_pending += pending - old_pending

@@ -742,7 +742,7 @@ class NanoBoxGrid:
     def total_pending_instructions(self) -> int:
         """Valid, not-yet-computed words across all alive cells."""
         return sum(
-            sum(1 for _ in cell.memory.pending_words())
+            cell.memory.work_counts()[0]
             for cell in self._cells.values()
             if cell.alive
         )
@@ -750,7 +750,7 @@ class NanoBoxGrid:
     def total_completed_instructions(self) -> int:
         """Computed words awaiting shift-out across all alive cells."""
         return sum(
-            sum(1 for _ in cell.memory.completed_words())
+            cell.memory.work_counts()[1]
             for cell in self._cells.values()
             if cell.alive
         )

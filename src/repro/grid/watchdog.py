@@ -415,7 +415,7 @@ class Watchdog:
             # stays distinguishable from a salvageable error burst.
             cell.heartbeat.silence()
         if not self._memory_salvageable:
-            pending = sum(1 for _ in cell.memory.pending_words())
+            pending, _ = cell.memory.work_counts()
             cell.memory.clear()
             return SalvageReport(
                 failed_cell=coord,

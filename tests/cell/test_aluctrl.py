@@ -6,7 +6,8 @@ import pytest
 from repro.alu.nanobox import NanoBoxALU
 from repro.cell.aluctrl import ALUControl, StepOutcome
 from repro.cell.memory import CellMemory
-from repro.cell.memword import MemoryWord
+from repro.cell.lutctrl import LUTFieldVoter
+from repro.cell.memword import DATA_VALID_OFFSET, MemoryWord
 from repro.faults.mask import ExactFractionMask
 
 
@@ -205,3 +206,78 @@ class TestRedundantCopies:
         # Clearer: two copies say 0xF0 -> vote is 0xF0.
         raw = MemoryWord.store_results(raw, (0xF0, 0x00, 0xF0))
         assert MemoryWord.voted_result(raw) == 0xF0
+
+
+class TestCopyCount:
+    @pytest.mark.parametrize("copies", (1, 3))
+    def test_result_fills_all_three_slots(self, copies):
+        """A single generated copy is stored in every result slot, so
+        stale slots cannot outvote it."""
+        memory = CellMemory(2)
+        ctrl = ALUControl(memory, NanoBoxALU(scheme="none"), copies=copies)
+        memory.write(0, pending_word(1, op=0b111, a=0x2B, b=0x2A))
+        report = ctrl.step()
+        assert report.outcome is StepOutcome.COMPUTED
+        assert report.result_copies == (0x55,) * 3
+        raw = memory.read_raw(0)
+        assert MemoryWord.result_copies(raw) == (0x55,) * 3
+        assert MemoryWord.voted_result(raw) == 0x55
+
+
+def _field_voter_run():
+    """48 steps over a 16-word memory: pending, completed, rejected and
+    flag-disagreeing words, one RNG shared by the ALU and control masks."""
+    rng = np.random.default_rng(2004)
+    alu = NanoBoxALU(scheme="none")
+    voter = LUTFieldVoter("none")
+    alu_policy = ExactFractionMask(0.05)
+    control_policy = ExactFractionMask(0.15)
+    memory = CellMemory(16)
+    ctrl = ALUControl(
+        memory,
+        alu,
+        mask_source=lambda: alu_policy.generate(alu.site_count, rng),
+        field_voter=voter,
+        control_mask_source=lambda: control_policy.generate(
+            voter.site_count, rng
+        ),
+    )
+    for i in range(12):
+        memory.write(i, MemoryWord(
+            instruction_id=i, opcode=(0b000, 0b001, 0b010, 0b111)[i % 4],
+            operand1=(37 * i) & 0xFF, operand2=(91 * i + 5) & 0xFF,
+            result=0x5A if i >= 8 else 0,
+            data_valid=True, to_be_computed=i < 8,
+        ))
+    memory.write(14, pending_word(14, op=0b011, a=1, b=2))
+    # Rewrite the six flag bits (tbc copies high, dv copies low) so the
+    # copies disagree.
+    for i, flags in ((2, 0b011_110), (9, 0b001_011),
+                     (12, 0b101_001), (13, 0b010_100)):
+        raw = memory.read_raw(i) & ~(0b111_111 << DATA_VALID_OFFSET)
+        memory.write_raw(i, raw | (flags << DATA_VALID_OFFSET))
+    outcomes = "".join(ctrl.step().outcome.value[0] for _ in range(48))
+    words = [memory.read_raw(i) for i in range(16)]
+    return outcomes, ctrl.control_misreads, ctrl.computed_total, \
+        ctrl.disagreements, words
+
+
+class TestFieldVoterPinned:
+    """Outcomes under a seeded control-fault mask, recorded before the
+    flag vote was read from the stored bits: the voter still draws its
+    mask once per step, in the same order as the ALU masks."""
+
+    def test_outcomes_and_misreads_pinned(self):
+        outcomes, misreads, computed, disagreements, words = _field_voter_run()
+        assert outcomes == "ccsscccscssscsrsssscssssssscsssssscssssssscsssss"
+        assert misreads == 19
+        assert computed == 11
+        assert disagreements == 8
+        assert words == [
+            4037477341486645248, 4263548901579620353, 4003567602718867458,
+            4335748357084348419, 4359696110527184900, 4588024452595908613,
+            4598122207819988998, 36317027412566016007, 4053310337938620424,
+            6544525006874411017, 4561880394862034954, 4047659297188806667,
+            576460752303423488, 11529215046068469760, 4035225266393120782,
+            0,
+        ]

@@ -1,9 +1,12 @@
 """Unit tests for the processor-cell memory."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cell.memory import CELL_MEMORY_WORDS, CellMemory
-from repro.cell.memword import MEMORY_WORD_BITS, MemoryWord
+from repro.cell.memword import DATA_VALID_OFFSET, MEMORY_WORD_BITS, MemoryWord
+from repro.coding.bits import popcount
 
 
 def word(iid=1, tbc=True):
@@ -121,3 +124,60 @@ class TestFaultOverlay:
         memory.write(0, word(1))
         memory.apply_faults(0)
         assert memory.read_raw(0) == word(1).pack()
+
+
+# Raw words with any payload and any six flag bits, so the flag copies of
+# a word may disagree; zero and canonical words are drawn often too.
+raw_words = st.one_of(
+    st.just(0),
+    st.integers(min_value=0, max_value=(1 << MEMORY_WORD_BITS) - 1),
+    st.builds(
+        lambda payload, flags: payload | (flags << DATA_VALID_OFFSET),
+        st.integers(min_value=0, max_value=(1 << DATA_VALID_OFFSET) - 1),
+        st.sampled_from((0b000_000, 0b111_111, 0b000_111, 0b011_110, 0b100_101)),
+    ),
+)
+raw_memories = st.lists(raw_words, min_size=1, max_size=12)
+
+
+def memory_of(raws):
+    memory = CellMemory(len(raws))
+    for i, raw in enumerate(raws):
+        memory.write_raw(i, raw)
+    return memory
+
+
+def reference_scrub(raws):
+    """Scrub defined through full decodes: (corrected bits, new words)."""
+    corrected, out = 0, []
+    for raw in raws:
+        word = MemoryWord.unpack(raw)
+        new = word.pack() if word.data_valid else 0
+        corrected += popcount(new ^ raw)
+        out.append(new)
+    return corrected, out
+
+
+class TestQueriesMatchFullDecode:
+    """The flag-only queries agree with definitions through unpack."""
+
+    @given(raw_memories)
+    def test_queries(self, raws):
+        memory = memory_of(raws)
+        words = [MemoryWord.unpack(raw) for raw in raws]
+        valid = [i for i, w in enumerate(words) if w.data_valid]
+        pending = [i for i in valid if words[i].to_be_computed]
+        completed = [i for i in valid if not words[i].to_be_computed]
+        free = [i for i, w in enumerate(words) if not w.data_valid]
+        assert memory.free_slot() == (free[0] if free else None)
+        assert list(memory.pending_words()) == pending
+        assert list(memory.completed_words()) == completed
+        assert memory.work_counts() == (len(pending), len(completed))
+        assert memory.occupancy() == len(valid)
+
+    @given(raw_memories)
+    def test_scrub(self, raws):
+        memory = memory_of(raws)
+        corrected, expected = reference_scrub(raws)
+        assert memory.scrub() == corrected
+        assert [memory.read_raw(i) for i in range(len(raws))] == expected

@@ -1,5 +1,7 @@
 """Unit tests for the memory word codec (paper Figure 4)."""
 
+import random
+
 import pytest
 
 from repro.cell.memword import (
@@ -8,6 +10,7 @@ from repro.cell.memword import (
     MemoryWord,
     TO_BE_COMPUTED_OFFSET,
     majority_bit,
+    word_flags,
 )
 
 
@@ -139,3 +142,22 @@ class TestFlagHelpers:
         assert done.result == 0x42
         assert not done.to_be_computed
         assert done.instruction_id == word.instruction_id
+
+
+class TestWordFlags:
+    def test_tbc_copies_sit_directly_above_dv_copies(self):
+        assert TO_BE_COMPUTED_OFFSET == DATA_VALID_OFFSET + 3
+
+    @pytest.mark.parametrize("flag_bits", range(64))
+    def test_every_flag_pattern_votes_like_majority_and_unpack(self, flag_bits):
+        """All 64 flag-bit patterns, each under random payload bits."""
+        rng = random.Random(flag_bits)
+        dv = majority_bit(tuple((flag_bits >> c) & 1 for c in range(3)))
+        tbc = majority_bit(tuple((flag_bits >> (3 + c)) & 1 for c in range(3)))
+        for _ in range(8):
+            payload = rng.getrandbits(DATA_VALID_OFFSET)
+            raw = payload | (flag_bits << DATA_VALID_OFFSET)
+            assert raw >> MEMORY_WORD_BITS == 0
+            assert word_flags(raw) == (bool(dv), bool(tbc))
+            word = MemoryWord.unpack(raw)
+            assert word_flags(raw) == (word.data_valid, word.to_be_computed)
