@@ -267,7 +267,8 @@ class FaultCampaign:
         n_sites = self._alu.site_count
         n = len(instructions)
         with obs.metrics.time("campaign.trial_batched"):
-            words = self._policy.generate_batch(n_sites, n, rng)
+            with obs.metrics.time("campaign.mask_draw"):
+                words = self._policy.generate_batch(n_sites, n, rng)
             flags = unpack_flags(words, n_sites)
             injected = int(flags.sum())
             engine = self._engine()
@@ -284,7 +285,8 @@ class FaultCampaign:
                 expected = np.fromiter(
                     (i[3] for i in instructions), np.int64, count=n
                 )
-                values = engine.values(ops, a_ops, b_ops, flags)
+                with obs.metrics.time("campaign.kernel_eval"):
+                    values = engine.values(ops, a_ops, b_ops, flags)
                 correct = int(np.count_nonzero(values == expected))
         self._record_trial(obs, source, trial, n, correct, injected)
         return TrialResult(total=n, correct=correct, injected_faults=injected)
@@ -297,9 +299,10 @@ class FaultCampaign:
     ) -> TrialResult:
         """Compiled-tier :meth:`run_workload`: bit-identical, fastest.
 
-        The trial's mask stream is drawn packed (the same RNG
-        consumption as every other tier) and evaluated in place by the
-        native kernel -- no per-site flag expansion at all.  Callers
+        The trial's mask stream is drawn with the same RNG consumption
+        as every other tier, selected and packed by the native kernel,
+        and evaluated in place by it -- no per-site flag expansion at
+        all.  Callers
         must have checked :meth:`resolve_backend` first; a unit without
         a compiled engine belongs on the batched path.
         """
@@ -323,7 +326,9 @@ class FaultCampaign:
         n_sites = self._alu.site_count
         n = len(instructions)
         with obs.metrics.time("campaign.trial_compiled"):
-            words = self._policy.generate_batch(n_sites, n, rng)
+            words = self._policy.generate_batch(
+                n_sites, n, rng, select=engine.select_masks
+            )
             injected = int(np.bitwise_count(words).sum())
             ops = np.fromiter((i[0] for i in instructions), np.int64, count=n)
             a_ops = np.fromiter((i[1] for i in instructions), np.int64, count=n)
@@ -426,33 +431,37 @@ class FaultCampaign:
         with obs.metrics.time("campaign.suite"):
             with obs.metrics.time("campaign.suite_compiled"):
                 words = np.empty((total_rows, n_words), dtype=np.uint64)
-                per_workload: Dict[str, Tuple[np.ndarray, ...]] = {}
-                for name, instructions, t, row in jobs:
-                    if obs.enabled:
-                        obs.trace.emit(
-                            "trial_start",
-                            source=f"campaign/{name}",
-                            trial=t,
-                            instructions=len(instructions),
-                            batched=True,
-                            backend="compiled",
+                per_workload: Dict[str, Tuple[np.ndarray, ...]] = {
+                    name: tuple(
+                        np.fromiter(
+                            (i[field] for i in instructions),
+                            np.int64,
+                            count=len(instructions),
                         )
-                    if name not in per_workload:
-                        count = len(instructions)
-                        per_workload[name] = tuple(
-                            np.fromiter(
-                                (i[field] for i in instructions),
-                                np.int64,
-                                count=count,
-                            )
-                            for field in range(4)
-                        )
-                    rng = self._rng_for_trial(t, name)
-                    words[row : row + len(instructions)] = (
-                        self._policy.generate_batch(
-                            n_sites, len(instructions), rng
-                        )
+                        for field in range(4)
                     )
+                    for name, instructions in workloads.items()
+                }
+                with obs.metrics.time("campaign.mask_draw"):
+                    for name, instructions, t, row in jobs:
+                        if obs.enabled:
+                            obs.trace.emit(
+                                "trial_start",
+                                source=f"campaign/{name}",
+                                trial=t,
+                                instructions=len(instructions),
+                                batched=True,
+                                backend="compiled",
+                            )
+                        rng = self._rng_for_trial(t, name)
+                        words[row : row + len(instructions)] = (
+                            self._policy.generate_batch(
+                                n_sites,
+                                len(instructions),
+                                rng,
+                                select=engine.select_masks,
+                            )
+                        )
                 row_faults = np.bitwise_count(words).sum(axis=1)
                 ops = np.concatenate(
                     [per_workload[name][0] for name, *_ in jobs]
@@ -463,7 +472,8 @@ class FaultCampaign:
                 b_ops = np.concatenate(
                     [per_workload[name][2] for name, *_ in jobs]
                 )
-                values = engine.values_words(ops, a_ops, b_ops, words)
+                with obs.metrics.time("campaign.kernel_eval"):
+                    values = engine.values_words(ops, a_ops, b_ops, words)
                 obs.metrics.counter("kernel.fused_rows").inc(total_rows)
 
             all_trials: List[TrialResult] = []

@@ -12,11 +12,49 @@ convenient and used by the cross-validation property tests.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.faults.packing import int_to_words, pack_flags, words_for_sites
+
+
+#: A native exact-fraction selector: ``(block, n_sites, base, remainder)``
+#: to ``(words, tied_rows)``, as :func:`select_numpy` but for tied rows.
+Selector = Callable[
+    [np.ndarray, int, int, float], Tuple[np.ndarray, np.ndarray]
+]
+
+
+def select_numpy(
+    block: np.ndarray, n_sites: int, base: int, remainder: float
+) -> np.ndarray:
+    """Packed exact-fraction masks from a ``(n_draws, cols)`` uniform block.
+
+    Row ``d`` flips ``base`` sites, plus one when it carries a rounding
+    uniform (``cols > n_sites``) below ``remainder``: the sites holding
+    its smallest uniforms, as ranked by one ``argpartition`` at
+    ``kth=base``.  This is the reference rule of
+    :meth:`ExactFractionMask.generate_batch`.
+    """
+    n_draws = block.shape[0]
+    counts = np.full(n_draws, base)
+    if block.shape[1] > n_sites:
+        counts += block[:, n_sites] < remainder
+    flags = np.zeros((n_draws, n_sites), dtype=np.uint8)
+    if base >= n_sites:
+        flags[:] = 1  # fraction == 1.0: every site flips, every draw
+    else:
+        # Indices [:base] of the partition are each row's base
+        # smallest uniforms; index base is the (base+1)-th, used only
+        # by rows whose stochastic rounding added a site.
+        part = np.argpartition(block[:, :n_sites], base, axis=1)
+        rows = np.arange(n_draws)
+        if base > 0:
+            flags[rows[:, None], part[:, :base]] = 1
+        extra = rows[counts > base]
+        flags[extra, part[extra, base]] = 1
+    return pack_flags(flags)
 
 
 def _pack_sites(flags: np.ndarray) -> int:
@@ -39,7 +77,12 @@ class MaskPolicy(ABC):
         """Expected number of flipped sites per draw."""
 
     def generate_batch(
-        self, n_sites: int, n_draws: int, rng: np.random.Generator
+        self,
+        n_sites: int,
+        n_draws: int,
+        rng: np.random.Generator,
+        *,
+        select: Optional[Selector] = None,
     ) -> np.ndarray:
         """Draw ``n_draws`` masks as a packed ``(n_draws, n_words)`` array.
 
@@ -49,6 +92,8 @@ class MaskPolicy(ABC):
         mask streams for the same seed.  The base implementation guarantees
         that by delegating to :meth:`generate`; subclasses may override
         with a vectorized draw only when it is stream-identical.
+        ``select`` is the compiled tier's native exact-fraction selector;
+        only :class:`ExactFractionMask` uses it, other policies ignore it.
         """
         if n_draws < 0:
             raise ValueError(f"n_draws must be non-negative, got {n_draws}")
@@ -118,7 +163,12 @@ class ExactFractionMask(MaskPolicy):
         return _pack_sites(flags)
 
     def generate_batch(
-        self, n_sites: int, n_draws: int, rng: np.random.Generator
+        self,
+        n_sites: int,
+        n_draws: int,
+        rng: np.random.Generator,
+        *,
+        select: Optional[Selector] = None,
     ) -> np.ndarray:
         """Whole-trial draw from one rectangular block of uniforms.
 
@@ -127,7 +177,13 @@ class ExactFractionMask(MaskPolicy):
         :meth:`generate` calls would consume -- stream- and
         result-identical to the scalar path (asserted by the equivalence
         tests), with the per-draw site selection vectorized into one
-        ``argpartition``.
+        ``argpartition`` (:func:`select_numpy`).
+
+        ``select`` is the compiled tier's native selector
+        (:func:`repro.kernels.cbuild.load_kernel`): it packs the same
+        block's masks without a flag matrix and returns the rows whose
+        boundary uniforms tie, which :func:`select_numpy` then decides,
+        so the result is the same either way.
         """
         if n_sites < 0:
             raise ValueError(f"n_sites must be non-negative, got {n_sites}")
@@ -138,23 +194,12 @@ class ExactFractionMask(MaskPolicy):
         base, remainder = self._split_count(n_sites)
         cols = n_sites + 1 if remainder > 0.0 else n_sites
         block = rng.random((n_draws, cols))
-        counts = np.full(n_draws, base)
-        if remainder > 0.0:
-            counts += block[:, n_sites] < remainder
-        flags = np.zeros((n_draws, n_sites), dtype=np.uint8)
-        if base >= n_sites:
-            flags[:] = 1  # fraction == 1.0: every site flips, every draw
-        else:
-            # Indices [:base] of the partition are each row's base
-            # smallest uniforms; index base is the (base+1)-th, used only
-            # by rows whose stochastic rounding added a site.
-            part = np.argpartition(block[:, :n_sites], base, axis=1)
-            rows = np.arange(n_draws)
-            if base > 0:
-                flags[rows[:, None], part[:, :base]] = 1
-            extra = rows[counts > base]
-            flags[extra, part[extra, base]] = 1
-        return pack_flags(flags)
+        if select is None:
+            return select_numpy(block, n_sites, base, remainder)
+        words, tied = select(block, n_sites, base, remainder)
+        if tied.size:
+            words[tied] = select_numpy(block[tied], n_sites, base, remainder)
+        return words
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ExactFractionMask({self._fraction!r})"
@@ -191,7 +236,12 @@ class BernoulliMask(MaskPolicy):
         return _pack_sites(flags)
 
     def generate_batch(
-        self, n_sites: int, n_draws: int, rng: np.random.Generator
+        self,
+        n_sites: int,
+        n_draws: int,
+        rng: np.random.Generator,
+        *,
+        select: Optional[Selector] = None,
     ) -> np.ndarray:
         """Fully vectorized draw: one RNG call for the whole batch.
 

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -71,7 +72,10 @@ def build_library(source: str) -> Path:
     """Compile ``source`` into the cache; returns the shared-object path.
 
     Idempotent and concurrency-safe: a cached artifact is reused without
-    invoking the compiler at all.
+    invoking the compiler at all.  Each builder compiles its own temp
+    copy of the source, so a concurrent builder can never truncate the
+    file under another's compiler; the object and the source are then
+    renamed into place, and a failed build leaves no temp files behind.
     """
     compiler = find_compiler()
     if compiler is None:
@@ -82,24 +86,36 @@ def build_library(source: str) -> Path:
     lib_path = directory / f"repro_kernel_{_cache_tag(source, compiler)}.so"
     if lib_path.exists():
         return lib_path
-    src_path = directory / f"{lib_path.stem}.c"
-    tmp_path = directory / f".{lib_path.name}.{os.getpid()}.tmp"
-    src_path.write_text(source, encoding="utf-8")
-    cmd = [
-        compiler, "-O2", "-shared", "-fPIC",
-        "-o", str(tmp_path), str(src_path),
-    ]
+    fd, name = tempfile.mkstemp(
+        prefix=f".{lib_path.stem}.", suffix=".c", dir=directory
+    )
+    src_tmp = Path(name)
+    obj_tmp = src_tmp.with_suffix(".so.tmp")
     try:
-        proc = subprocess.run(
-            cmd, capture_output=True, text=True, timeout=120
-        )
-    except (OSError, subprocess.TimeoutExpired) as exc:
-        raise KernelBuildError(f"compiler invocation failed: {exc!r}") from exc
-    if proc.returncode != 0:
-        raise KernelBuildError(
-            f"{compiler} failed ({proc.returncode}):\n{proc.stderr.strip()}"
-        )
-    os.replace(tmp_path, lib_path)
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(source)
+        cmd = [
+            compiler, "-O2", "-shared", "-fPIC",
+            "-o", str(obj_tmp), str(src_tmp),
+        ]
+        try:
+            proc = subprocess.run(
+                cmd, capture_output=True, text=True, timeout=120
+            )
+        except (OSError, subprocess.TimeoutExpired) as exc:
+            raise KernelBuildError(
+                f"compiler invocation failed: {exc!r}"
+            ) from exc
+        if proc.returncode != 0:
+            raise KernelBuildError(
+                f"{compiler} failed ({proc.returncode}):\n"
+                f"{proc.stderr.strip()}"
+            )
+        os.replace(obj_tmp, lib_path)
+        os.replace(src_tmp, lib_path.with_suffix(".c"))
+    finally:
+        src_tmp.unlink(missing_ok=True)
+        obj_tmp.unlink(missing_ok=True)
     return lib_path
 
 
@@ -107,27 +123,63 @@ _I64P = ctypes.POINTER(ctypes.c_int64)
 _U64P = ctypes.POINTER(ctypes.c_uint64)
 _U8P = ctypes.POINTER(ctypes.c_uint8)
 
+#: Half-width of the selection band, in binomial standard deviations.
+BAND_SIGMAS = 6.0
 
-def load_eval(lib_path: Path) -> Callable:
-    """dlopen the kernel and wrap its entry point in the eval signature.
 
-    The returned callable is ``fn(header, ipool, bpool, ops, va, vb,
-    words, n, n_words, out, scratch)`` over contiguous NumPy arrays.
+def select_band(n_sites: int, base: int) -> Tuple[float, float]:
+    """The uniform band ``[lo, hi)`` searched for a row's boundary rank.
+
+    A row flips its ``base`` or ``base + 1`` smallest of ``n_sites``
+    uniforms; both boundary order statistics sit near ``count/n_sites``
+    within a binomial standard deviation or so.  Sites below ``lo`` are
+    flipped outright and sites at or above ``hi`` never are, so only the
+    band is ever sorted.  The width only moves speed: a band that misses
+    the boundary makes the kernel select over the whole row.  ``lo`` is
+    clamped at 0 so both ends order as bit patterns.
+    """
+    p = min(1.0, (base + 0.5) / n_sites)
+    half = BAND_SIGMAS * math.sqrt(p * (1.0 - p) / n_sites) + 2.0 / n_sites
+    return max(0.0, p - half), p + half
+
+
+def _bits(value: float) -> int:
+    """The IEEE-754 bit pattern of a double, as the selector compares it."""
+    return int(np.float64(value).view(np.uint64))
+
+
+def load_kernel(lib_path: Path) -> Tuple[Callable, Callable]:
+    """dlopen the kernel once and wrap both entry points.
+
+    Returns ``(eval_batch, select_masks)``.  ``eval_batch`` is
+    ``fn(header, ipool, bpool, ops, va, vb, words, n, n_words, out,
+    scratch)`` over contiguous NumPy arrays.  ``select_masks(block,
+    n_sites, base, remainder)`` turns an exact-fraction uniform block
+    into ``(words, tied_rows)``: the packed ``(n_draws, n_words)`` masks,
+    and the rows whose boundary tie the caller must select itself (those
+    rows are left zero).
     """
     try:
         lib = ctypes.CDLL(str(lib_path))
-        fn = lib.repro_eval_batch
+        eval_c = lib.repro_eval_batch
+        select_c = lib.repro_select_batch
     except (OSError, AttributeError) as exc:
         raise KernelBuildError(f"could not load {lib_path}: {exc!r}") from exc
-    fn.restype = None
-    fn.argtypes = [
+    eval_c.restype = None
+    eval_c.argtypes = [
         _I64P, _I64P, _U8P, _I64P, _I64P, _I64P, _U64P,
         ctypes.c_int64, ctypes.c_int64, _I64P, _U8P,
+    ]
+    select_c.restype = ctypes.c_int64
+    select_c.argtypes = [
+        _U64P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_int64, ctypes.c_uint64, ctypes.c_uint64, ctypes.c_uint64,
+        _U64P, ctypes.c_int64, _U64P, _I64P, _I64P,
     ]
 
     def eval_batch(header, ipool, bpool, ops, va, vb, words, n, n_words,
                    out, scratch):
-        fn(
+        eval_c(
             header.ctypes.data_as(_I64P),
             ipool.ctypes.data_as(_I64P),
             bpool.ctypes.data_as(_U8P),
@@ -141,17 +193,43 @@ def load_eval(lib_path: Path) -> Callable:
             scratch.ctypes.data_as(_U8P),
         )
 
-    return eval_batch
+    def select_masks(block, n_sites, base, remainder):
+        keys = np.ascontiguousarray(block, dtype=np.float64).view(np.uint64)
+        if keys.ndim != 2 or not 0 < n_sites <= keys.shape[1] <= n_sites + 1:
+            raise ValueError(
+                f"uniform block {keys.shape} does not fit {n_sites} sites"
+            )
+        n_draws, cols = keys.shape
+        n_words = (n_sites + 63) // 64
+        words = np.empty((n_draws, n_words), dtype=np.uint64)
+        ckey = np.empty(n_sites, dtype=np.uint64)
+        cidx = np.empty(n_sites, dtype=np.int64)
+        tied = np.empty(n_draws, dtype=np.int64)
+        lo, hi = select_band(n_sites, base)
+        n_tied = select_c(
+            keys.ctypes.data_as(_U64P),
+            n_draws, cols, int(n_sites), int(base),
+            _bits(remainder), _bits(lo), _bits(hi),
+            words.ctypes.data_as(_U64P),
+            n_words,
+            ckey.ctypes.data_as(_U64P),
+            cidx.ctypes.data_as(_I64P),
+            tied.ctypes.data_as(_I64P),
+        )
+        return words, tied[:n_tied]
+
+    return eval_batch, select_masks
 
 
-def self_test(eval_fn) -> None:
-    """Smoke-check an eval callable on a tiny known-answer plan.
+def self_test(eval_fn, select_fn) -> None:
+    """Smoke-check both entry points on small known-answer inputs.
 
     Guards against a miscompiled or ABI-skewed shared object being
     silently adopted: a bad artifact raises :class:`KernelBuildError`
     here and the provider chain falls through.
     """
     from repro.alu.nanobox import NanoBoxALU
+    from repro.faults.mask import select_numpy
     from repro.kernels.plan import build_plan
 
     unit = NanoBoxALU(scheme="none")
@@ -174,4 +252,14 @@ def self_test(eval_fn) -> None:
         raise KernelBuildError(
             f"kernel self-test mismatch: got {int(out[0])}, "
             f"expected {expected}"
+        )
+    # 130 sites span three words; 30% leaves a rounding uniform per row.
+    n_sites, base, remainder = 130, 39, 0.5
+    block = np.random.default_rng(2004).random((16, n_sites + 1))
+    got, tied = select_fn(block, n_sites, base, remainder)
+    want = select_numpy(block, n_sites, base, remainder)
+    if tied.size or not np.array_equal(got, want):
+        raise KernelBuildError(
+            "kernel self-test mismatch: mask selection differs from the "
+            "NumPy rule"
         )

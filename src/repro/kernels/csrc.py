@@ -3,7 +3,7 @@
 An executor for the plan format of :mod:`repro.kernels.plan`, with the
 batched NumPy tier's arithmetic and evaluation order, compiled once per
 machine by :mod:`repro.kernels.cbuild` and called through ``ctypes``.
-The ABI is a single entry point:
+The ABI has two entry points in one shared object.  The plan executor:
 
 .. code-block:: c
 
@@ -13,7 +13,32 @@ The ABI is a single entry point:
                          const uint64_t *words, int64_t n,
                          int64_t n_words, int64_t *out, uint8_t *scratch);
 
-All layout constants are injected from :mod:`repro.kernels.plan` at
+and the exact-fraction mask selector, which turns a block of uniforms
+drawn by :class:`repro.faults.mask.ExactFractionMask` into packed mask
+rows (each row flips the sites holding its ``count`` smallest uniforms):
+
+.. code-block:: c
+
+   int64_t repro_select_batch(const uint64_t *block, int64_t n_draws,
+                              int64_t cols, int64_t n_sites, int64_t base,
+                              uint64_t remainder, uint64_t lo, uint64_t hi,
+                              uint64_t *words, int64_t n_words,
+                              uint64_t *ckey, int64_t *cidx, int64_t *tied);
+
+The selector reads every uniform, and ``remainder``, ``lo`` and ``hi``,
+as its IEEE-754 bit pattern: non-negative doubles order like their bits
+read as unsigned integers, and equal doubles have equal bits.  A row's
+``count`` is ``base``, plus one when the row carries a rounding uniform
+(``cols > n_sites``) below ``remainder``.  One pass writes the sites
+below ``lo`` straight into the words and collects the sites in
+``[lo, hi)``; a selection inside that band finds the row's boundary,
+and a whole-row selection replaces it when the band misses the
+boundary rank.  The chosen set is unique unless the ``count``-th and
+``count+1``-th smallest uniforms are equal; such a row is left zero and
+its index written to ``tied`` (the return value is their number), so
+the caller resolves it with the NumPy rule.
+
+Plan layout constants are injected from :mod:`repro.kernels.plan` at
 format time, so the kernel can never drift from the encoding.
 """
 
@@ -247,9 +272,102 @@ void repro_eval_batch(const int64_t *header, const int64_t *ipool,
 }}
 """
 
+# Not a format template: no plan constants, so the braces stay single.
+_SELECT = r"""
+static void sel_swap(uint64_t *v, int64_t *ix, int64_t a, int64_t b) {
+    uint64_t t = v[a];
+    v[a] = v[b];
+    v[b] = t;
+    int64_t u = ix[a];
+    ix[a] = ix[b];
+    ix[b] = u;
+}
+
+/* Wirth's selection: afterwards v[r] is the (r+1)-th smallest of v[0..m),
+   with v[0..r) <= v[r] <= v(r..m). */
+static void sel_kth(uint64_t *v, int64_t *ix, int64_t m, int64_t r) {
+    int64_t lo = 0, hi = m - 1;
+    while (lo < hi) {
+        uint64_t pivot = v[r];
+        int64_t i = lo, j = hi;
+        do {
+            while (v[i] < pivot) i++;
+            while (pivot < v[j]) j--;
+            if (i <= j) {
+                sel_swap(v, ix, i, j);
+                i++;
+                j--;
+            }
+        } while (i <= j);
+        if (j < r) lo = i;
+        if (r < i) hi = j;
+    }
+}
+
+int64_t repro_select_batch(const uint64_t *block, int64_t n_draws,
+                           int64_t cols, int64_t n_sites, int64_t base,
+                           uint64_t remainder, uint64_t lo, uint64_t hi,
+                           uint64_t *words, int64_t n_words,
+                           uint64_t *ckey, int64_t *cidx, int64_t *tied) {
+    uint64_t width = hi - lo;
+    int64_t n_tied = 0;
+    for (int64_t d = 0; d < n_draws; d++) {
+        const uint64_t *u = block + d * cols;
+        uint64_t *row = words + d * n_words;
+        int64_t k = base;
+        if (cols > n_sites && u[n_sites] < remainder) k++;
+        for (int64_t w = 0; w < n_words; w++) row[w] = 0;
+        if (k <= 0) continue;
+        if (k >= n_sites) {
+            for (int64_t s = 0; s < n_sites; s++)
+                row[s >> 6] |= (uint64_t)1 << (s & 63);
+            continue;
+        }
+        int64_t below = 0, m = 0;
+        for (int64_t w = 0; w < n_words; w++) {
+            int64_t s0 = w << 6;
+            int64_t s1 = s0 + 64 < n_sites ? s0 + 64 : n_sites;
+            uint64_t acc = 0;
+            for (int64_t s = s0; s < s1; s++) {
+                uint64_t x = u[s];
+                acc |= (uint64_t)(x < lo) << (s - s0);
+                ckey[m] = x;
+                cidx[m] = s;
+                m += x - lo < width;
+            }
+            row[w] = acc;
+            below += __builtin_popcountll(acc);
+        }
+        int64_t r = k - below - 1;
+        if (r < 0 || r >= m) {
+            /* The band misses the boundary rank: select over the row. */
+            for (int64_t w = 0; w < n_words; w++) row[w] = 0;
+            for (int64_t s = 0; s < n_sites; s++) {
+                ckey[s] = u[s];
+                cidx[s] = s;
+            }
+            m = n_sites;
+            r = k - 1;
+        }
+        sel_kth(ckey, cidx, m, r);
+        int64_t tie = 0;
+        for (int64_t i = r + 1; i < m; i++)
+            if (ckey[i] == ckey[r]) tie = 1;
+        if (tie) {
+            for (int64_t w = 0; w < n_words; w++) row[w] = 0;
+            tied[n_tied++] = d;
+            continue;
+        }
+        for (int64_t i = 0; i <= r; i++)
+            row[cidx[i] >> 6] |= (uint64_t)1 << (cidx[i] & 63);
+    }
+    return n_tied;
+}
+"""
+
 #: Bump when the plan encoding or the C ABI changes: part of the build
 #: cache key, so stale shared objects are never reloaded.
-ABI_VERSION = 1
+ABI_VERSION = 2
 
 
 def c_source() -> str:
@@ -279,4 +397,4 @@ def c_source() -> str:
         H_VOTER_BASE=_p.H_VOTER_BASE,
         H_STORE0=_p.H_STORE0,
         INPUT_SCRATCH=_p.INPUT_SCRATCH,
-    )
+    ) + _SELECT

@@ -29,6 +29,9 @@ class CompiledEngine:
     def __init__(self, plan: KernelPlan, provider: KernelProvider) -> None:
         self._plan = plan
         self._eval = provider.eval_fn
+        #: The provider's native exact-fraction mask selector, passed to
+        #: ``MaskPolicy.generate_batch(..., select=...)`` by the campaign.
+        self.select_masks = provider.select_fn
         self.provider_name = provider.name
         self._site_count = plan.site_count
         self._n_words = words_for_sites(plan.site_count)

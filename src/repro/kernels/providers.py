@@ -31,6 +31,7 @@ class KernelProvider:
 
     name: str  # "cc"
     eval_fn: Callable
+    select_fn: Callable  # exact-fraction mask selection (cbuild.load_kernel)
     compile_seconds: float
 
 
@@ -44,15 +45,16 @@ _warned = False
 
 def _build_cc() -> KernelProvider:
     """The generated-and-cached C extension via ctypes."""
-    from repro.kernels.cbuild import build_library, load_eval, self_test
+    from repro.kernels.cbuild import build_library, load_kernel, self_test
     from repro.kernels.csrc import c_source
 
     start = time.perf_counter()
-    eval_fn = load_eval(build_library(c_source()))
-    self_test(eval_fn)
+    eval_fn, select_fn = load_kernel(build_library(c_source()))
+    self_test(eval_fn, select_fn)
     return KernelProvider(
         name="cc",
         eval_fn=eval_fn,
+        select_fn=select_fn,
         compile_seconds=time.perf_counter() - start,
     )
 

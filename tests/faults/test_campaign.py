@@ -114,3 +114,37 @@ class TestPaperOrdering:
             )
             scores[name] = campaign.run_workload_suite(streams, 5).percent_correct
         assert scores["alunh"] < scores["alunn"]
+
+
+class TestLayerTimers:
+    """Suite timers split into mask drawing and unit evaluation, so an
+    observed sweep reports where its time went."""
+
+    @pytest.mark.parametrize(
+        "backend, parent",
+        [
+            ("batched", "campaign.trial_batched"),
+            ("compiled", "campaign.suite_compiled"),
+        ],
+    )
+    def test_mask_and_eval_children(self, streams, backend, parent):
+        from repro.kernels import get_provider
+        from repro.obs import Observer, observing
+
+        if backend == "compiled":
+            assert get_provider() is not None
+        campaign = FaultCampaign(
+            build_alu("alunn"), ExactFractionMask(0.03), seed=4
+        )
+        obs = Observer()
+        with observing(obs):
+            campaign.run_workload_suite(streams, 2, backend=backend)
+        timers = {h.name: h for h in obs.metrics.histograms()}
+        runs = 4 if backend == "batched" else 1
+        for name in (parent, "campaign.mask_draw", "campaign.kernel_eval"):
+            assert timers[name].count == runs
+        children = (
+            timers["campaign.mask_draw"].total
+            + timers["campaign.kernel_eval"].total
+        )
+        assert children <= timers[parent].total

@@ -54,6 +54,29 @@ class TestProviderChain:
         assert len(calls) == 1
 
 
+    def test_wrong_select_fails_the_self_test(self, monkeypatch):
+        """A kernel whose mask selection disagrees with the NumPy rule is
+        rejected by the probe, like a wrong plan executor."""
+        from repro.kernels import cbuild
+
+        real_load = cbuild.load_kernel
+
+        def skewed_load(lib_path):
+            eval_fn, select_fn = real_load(lib_path)
+
+            def off_by_one(block, n_sites, base, remainder):
+                return select_fn(block, n_sites, base + 1, remainder)
+
+            return eval_fn, off_by_one
+
+        monkeypatch.setattr(cbuild, "load_kernel", skewed_load)
+        assert get_provider() is None
+        failures = provider_failures()
+        assert len(failures) == 1
+        assert failures[0].startswith("cc: ")
+        assert "mask selection" in failures[0]
+
+
 class TestDegradedCampaigns:
     @pytest.fixture
     def dead_tier(self, monkeypatch):
